@@ -231,9 +231,9 @@ def _run_and_emit(
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
     try:
-        # The global --scale / --loss-rate / --shards knobs apply wherever the
-        # scenario has the matching parameter; explicit --set overrides win.
-        for knob in ("scale", "loss_rate", "shards"):
+        # The global --scale / --loss-rate knobs apply wherever the scenario
+        # has the matching parameter; explicit --set overrides win.
+        for knob in ("scale", "loss_rate"):
             value = getattr(args, knob, None)
             if value is not None and knob in spec.params and knob not in overrides:
                 overrides[knob] = value
@@ -466,7 +466,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
         seed=seed,
         pipelined=not args.serial,
         rolling_window=args.rolling_window,
-        shards=args.shards,
         tracer=tracer,
         metrics=metrics,
         span_sink=span_sink,
@@ -612,7 +611,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         seed=seed,
         pipelined=not args.serial,
         rolling_window=args.rolling_window,
-        shards=args.shards,
         tracer=tracer,
         metrics=metrics,
         span_sink=span_sink,
@@ -1030,10 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS,
                         help="packet-loss rate (applied to scenarios that "
                              "take a 'loss_rate' parameter)")
-    common.add_argument("--shards", type=int, default=argparse.SUPPRESS,
-                        help="shard the data plane across N worker processes "
-                             "(applied to scenarios that take a 'shards' "
-                             "parameter; bit-identical to serial)")
     common.add_argument("--jobs", type=int, default=1,
                         help="run sweep points across N processes")
     common.add_argument("--json", dest="json_out", metavar="PATH",
@@ -1070,9 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--loss-rate", type=float, dest="loss_rate",
                      default=argparse.SUPPRESS,
                      help="victim packet-loss rate of the synthetic phases")
-    sub.add_argument("--shards", type=int, default=None,
-                     help="shard the data plane across N worker processes "
-                          "(bit-identical to serial execution)")
     sub.add_argument("--phases", metavar="F:R:E[,...]",
                      help="phase schedule as flows:victim_ratio:epochs groups "
                           "(default 400:0.05:6,800:0.15:6,400:0.05:6)")
@@ -1126,8 +1117,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--loss-rate", type=float, dest="loss_rate",
                      default=argparse.SUPPRESS,
                      help="victim packet-loss rate of the synthetic phases")
-    sub.add_argument("--shards", type=int, default=None,
-                     help="shard the data plane across N worker processes")
     sub.add_argument("--phases", metavar="F:R:E[,...]",
                      help="phase schedule as flows:victim_ratio:epochs groups "
                           "(default 400:0.05:6,800:0.15:6,400:0.05:6)")

@@ -13,9 +13,9 @@ dropped before the controller collects the epoch's sketches, matching the
 "additional waiting time" the paper introduces before collection (appendix B).
 
 Loss draws use *counter-based* RNG sub-streams: every victim flow's draws are
-a pure function of ``(simulator seed, epoch index, trace position)``, so any
-partition of the trace — scalar, batched, or sharded across worker processes —
-produces bit-identical loss placement.  This is the same derive-before-dispatch
+a pure function of ``(simulator seed, epoch index, trace position)``, so the
+scalar and batched paths — which visit flows in different orders — produce
+bit-identical loss placement.  This is the same derive-before-dispatch
 seeding discipline ``SweepRunner`` uses for sweep points.
 """
 
@@ -220,7 +220,7 @@ def distribute_losses_uniform(
 
 
 # --------------------------------------------------------------------------- #
-# column-level epoch helpers (shared by the batched path and the shard workers)
+# column-level epoch helpers (the batched path)
 # --------------------------------------------------------------------------- #
 def endpoint_switch_indices(
     columns: TraceColumns, num_hosts: int, host_edge: np.ndarray
@@ -349,28 +349,16 @@ class NetworkSimulator:
         self._seed = seed
         self._rng = random.Random(seed)
         self._epoch_counter = 0
-        self._shard_pool = None
-        #: Chaos wiring (set by the engine): a FaultInjector arming shard
-        #: faults, the shared ChaosMonitor, and the pool SupervisionPolicy.
-        #: All three default to None — the fault-free fast path is unchanged.
-        self.chaos = None
-        self.monitor = None
-        self.supervision = None
-        #: Sketch-delta bytes merged centrally in the last sharded epoch
-        #: (0 for serial epochs); read by the engine's metrics instruments.
-        self.last_merge_bytes = 0
         # Per-topology host -> edge-switch maps, built once (the topology is
         # immutable for the simulator's lifetime).
         num_hosts = self.topology.num_hosts
         self.edge_nodes: List[NodeId] = sorted(
             {self.topology.edge_switch_of_host(host) for host in range(num_hosts)}
         )
-        self.node_index: Dict[NodeId, int] = {
-            node: index for index, node in enumerate(self.edge_nodes)
-        }
+        node_index = {node: index for index, node in enumerate(self.edge_nodes)}
         self.host_edge: np.ndarray = np.array(
             [
-                self.node_index[self.topology.edge_switch_of_host(host)]
+                node_index[self.topology.edge_switch_of_host(host)]
                 for host in range(num_hosts)
             ],
             dtype=np.int64,
@@ -417,7 +405,6 @@ class NetworkSimulator:
         self,
         trace: Trace,
         batched: bool = True,
-        shards: Optional[int] = None,
         tracer: Optional[object] = None,
     ) -> EpochTruth:
         """Replay a whole trace as one epoch and return its ground truth.
@@ -425,23 +412,16 @@ class NetworkSimulator:
         ``batched=True`` (the default) routes the trace through the vectorized
         pipeline: flows are grouped per ingress/egress edge switch, classified
         and encoded with the NumPy sketch backend, and losses are drawn per
-        segment.  ``batched=False`` is the scalar reference path.  ``shards=N``
-        fans the epoch out over a persistent worker pool (one shard owns a set
-        of edge switches) and merges the shard-local sketches centrally.  All
-        three paths produce bit-identical sketch state and ground truth: loss
-        draws are keyed on (seed, epoch, trace position), never on execution
-        order.
+        segment.  ``batched=False`` is the scalar reference path.  Both paths
+        produce bit-identical sketch state and ground truth: loss draws are
+        keyed on (seed, epoch, trace position), never on execution order.
 
         A flow ID that appears several times in the trace accumulates into the
         ground truth (sizes and losses are summed), matching what the sketches
         record.
         """
-        epoch = self._epoch_counter
-        key = epoch_loss_key(self._seed, epoch)
+        key = epoch_loss_key(self._seed, self._epoch_counter)
         self._epoch_counter += 1
-        self.last_merge_bytes = 0
-        if shards is not None and shards > 0:
-            return self._run_epoch_sharded(trace, int(shards), key, tracer, epoch)
         if batched:
             return self._run_epoch_batched(trace, key, tracer)
         return self._run_epoch_scalar(trace, key)
@@ -550,84 +530,6 @@ class NetworkSimulator:
         return truth
 
     # ------------------------------------------------------------------ #
-    # sharded execution
-    # ------------------------------------------------------------------ #
-    def _run_epoch_sharded(
-        self,
-        trace: Trace,
-        shards: int,
-        key: int,
-        tracer: Optional[object] = None,
-        epoch: int = 0,
-    ) -> EpochTruth:
-        """Fan one epoch out over the persistent shard pool and merge centrally."""
-        tracer = tracer if tracer is not None else NULL_TRACER
-        truth = EpochTruth()
-        columns = trace.columns()
-        if len(columns) == 0:
-            return truth
-        self._require_fresh_switches()
-        from ..dataplane.sharded import merge_node_deltas
-
-        pool = self._ensure_shard_pool(shards)
-        ingress, _ = endpoint_switch_indices(
-            columns, self.topology.num_hosts, self.host_edge
-        )
-        accumulate_truth(truth, columns, ingress, self.edge_nodes)
-        configs = {node: switch.config for node, switch in self.switches.items()}
-        faults = (
-            self.chaos.shard_faults(epoch, shards) if self.chaos is not None else ()
-        )
-        try:
-            up_deltas, down_deltas, shard_spans = pool.run_epoch(
-                columns, key, configs, with_spans=tracer.enabled,
-                epoch=epoch, faults=faults,
-            )
-        except Exception:
-            # A failed sharded epoch leaves workers/buffers in an undefined
-            # state; tear the pool down so the next run starts clean.
-            self.close()
-            raise
-        if shard_spans:
-            # Workers timed their phases on their own monotonic clocks and
-            # shipped plain span dicts with the deltas; adopt them here.
-            tracer.ingest(shard_spans)
-        with tracer.span("merge"):
-            self.last_merge_bytes = merge_node_deltas(
-                self.switches, up_deltas, down_deltas
-            )
-        return truth
-
-    def _require_fresh_switches(self) -> None:
-        """Sharded epochs rebuild each switch's sketches from scratch in the
-        workers and merge into the central (empty) groups; state carried over
-        from an unrotated epoch would silently diverge from the serial path."""
-        for node, switch in self.switches.items():
-            stats = switch.stats
-            if stats.packets_upstream or stats.packets_downstream or stats.flows_seen:
-                raise ValueError(
-                    f"sharded run_epoch needs freshly rotated switches, but "
-                    f"{node} already has traffic this epoch; call rotate_all() "
-                    f"(or begin_epoch()) first, or run without shards"
-                )
-
-    def _ensure_shard_pool(self, shards: int):
-        if self._shard_pool is not None and self._shard_pool.num_shards != shards:
-            self.close()
-        if self._shard_pool is None:
-            from ..dataplane.sharded import ShardPool
-
-            self._shard_pool = ShardPool.for_simulator(
-                self, shards, supervision=self.supervision, monitor=self.monitor
-            )
-        return self._shard_pool
-
-    @property
-    def shard_pool(self):
-        """The persistent shard pool, if a sharded epoch has run (else None)."""
-        return self._shard_pool
-
-    # ------------------------------------------------------------------ #
     # service checkpoints
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> Dict:
@@ -635,10 +537,7 @@ class NetworkSimulator:
 
         The epoch counter keys the counter-based loss sub-streams
         (:func:`epoch_loss_key`), so restoring it makes every post-resume
-        loss draw identical to the uninterrupted run's — for any shard
-        count, since the draws are partition-independent by construction.
-        The shard pool itself is *not* checkpointed: workers are stateless
-        between epochs and the pool is rebuilt lazily on the next epoch.
+        loss draw identical to the uninterrupted run's.
         """
         version, internal, gauss = self._rng.getstate()
         return {
@@ -651,20 +550,6 @@ class NetworkSimulator:
         self._epoch_counter = int(state["epoch_counter"])
         rng = state["rng"]
         self._rng.setstate((rng["version"], tuple(rng["state"]), rng["gauss"]))
-
-    def close(self) -> None:
-        """Shut down the shard pool (workers and shared-memory buffers)."""
-        if self._shard_pool is not None:
-            try:
-                self._shard_pool.close()
-            finally:
-                self._shard_pool = None
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-shutdown path
-        try:
-            self.close()
-        except Exception:
-            pass
 
     def rotate_all(self) -> Dict[NodeId, "object"]:
         """Rotate every edge switch to a new epoch; return the finished groups."""

@@ -7,8 +7,8 @@ The implementation is intentionally small and dependency-free:
 
 * **Fixed, deterministic bucket edges.**  Histograms never adapt their edges
   at runtime, so two runs of the same workload produce structurally identical
-  snapshots and shard-shipped histograms merge exactly (see :meth:`Histogram
-  .merge` and the linearity property test).
+  snapshots and histograms merge exactly (see :meth:`Histogram.merge` and the
+  linearity property test).
 * **Labels as child instruments.**  ``metric.labels(part="hh")`` returns a
   per-label-set child (Prometheus client idiom); the unlabeled methods
   operate on the implicit empty-label child so simple metrics stay one-liners.
@@ -308,9 +308,6 @@ class EpochMetrics:
         self.level_epochs = registry.counter(
             "repro_level_epochs_total",
             "Epochs spent at each attention level", labels=("level",))
-        self.shard_merge_bytes = registry.counter(
-            "repro_shard_merge_bytes_total",
-            "Sketch-delta bytes merged centrally from shard workers")
         self.rolling_f1 = registry.gauge(
             "repro_rolling_f1", "Rolling loss-detection F1 over the engine window")
         self.rolling_are = registry.gauge(
@@ -333,7 +330,6 @@ class EpochMetrics:
         decode_success: Optional[Dict[str, bool]] = None,
         layout: Optional[Any] = None,
         num_arrays: int = 3,
-        merge_bytes: int = 0,
     ) -> None:
         from ..controlplane.timing import SWITCH_BUCKET_BYTES
 
@@ -346,8 +342,6 @@ class EpochMetrics:
         self.rolling_are.set(record["rolling_are"])
         self.epoch_ms.observe(record["wall_ms"])
         self.decode_ms.observe(record["decode_ms"])
-        if merge_bytes:
-            self.shard_merge_bytes.inc(merge_bytes)
         if decode_success is not None:
             for part, success in decode_success.items():
                 family = self.decode_success if success else self.decode_failure

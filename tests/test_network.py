@@ -2,13 +2,23 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.dataplane.config import SwitchResources
 from repro.dataplane.hierarchy import FlowHierarchy
 from repro.dataplane.switch import EdgeSwitch
 from repro.network.routing import EcmpRouter
-from repro.network.simulator import NetworkSimulator, build_testbed_simulator, distribute_losses
+from repro.network.simulator import (
+    MAX_LOSS_SEGMENTS,
+    NetworkSimulator,
+    build_testbed_simulator,
+    distribute_losses,
+    distribute_losses_uniform,
+    epoch_loss_key,
+    loss_uniform,
+    loss_uniforms,
+)
 from repro.network.topology import FatTreeSpec, FatTreeTopology
 from repro.traffic.flow import FlowRecord, Trace
 
@@ -198,3 +208,47 @@ class TestSimulator:
             assert stats_a.packets_downstream == stats_b.packets_downstream
             assert stats_a.flows_seen == stats_b.flows_seen
             assert stats_a.per_hierarchy_packets == stats_b.per_hierarchy_packets
+
+
+class TestLossSubStreams:
+    """The counter-based uniforms both paths draw from."""
+
+    def test_vectorized_uniforms_match_scalar(self):
+        key = epoch_loss_key(seed=42, epoch=7)
+        positions = np.array([0, 1, 17, 999, 2**31, 2**63 - 1], dtype=np.uint64)
+        grid = loss_uniforms(key, positions)
+        assert grid.shape == (len(positions), MAX_LOSS_SEGMENTS)
+        for row, position in enumerate(positions.tolist()):
+            for slot in range(MAX_LOSS_SEGMENTS):
+                assert grid[row, slot] == loss_uniform(key, position, slot)
+
+    def test_uniforms_in_unit_interval(self):
+        key = epoch_loss_key(seed=0, epoch=0)
+        grid = loss_uniforms(key, np.arange(1000))
+        assert float(grid.min()) >= 0.0
+        assert float(grid.max()) < 1.0
+
+    def test_epoch_keys_distinct(self):
+        keys = {epoch_loss_key(seed, epoch) for seed in range(8) for epoch in range(8)}
+        assert len(keys) == 64
+
+    def test_distribute_losses_uniform_conserves_totals(self):
+        key = epoch_loss_key(seed=3, epoch=1)
+        segments = [
+            (FlowHierarchy.NON_SAMPLED_LL, 40),
+            (FlowHierarchy.HL_CANDIDATE, 25),
+            (FlowHierarchy.HH_CANDIDATE, 60),
+        ]
+        for position in range(50):
+            uniforms = [loss_uniform(key, position, s) for s in range(MAX_LOSS_SEGMENTS)]
+            for lost in (0, 1, 60, 125, 999):
+                delivered = distribute_losses_uniform(segments, lost, uniforms)
+                assert [h for h, _ in delivered] == [h for h, _ in segments]
+                assert all(count >= 0 for _, count in delivered)
+                total = sum(count for _, count in segments)
+                assert sum(count for _, count in delivered) == total - min(lost, total)
+
+    def test_stateful_variant_unchanged(self):
+        segments = [(FlowHierarchy.NON_SAMPLED_LL, 10), (FlowHierarchy.HH_CANDIDATE, 5)]
+        delivered = distribute_losses(segments, 5, random.Random(0))
+        assert sum(count for _, count in delivered) == 10

@@ -74,7 +74,7 @@ class TestCounter:
     def test_wrong_label_names_rejected(self):
         counter = MetricsRegistry().counter("c_total", labels=("part",))
         with pytest.raises(MetricError):
-            counter.labels(shard="0")
+            counter.labels(node="0")
 
 
 class TestGauge:
@@ -152,7 +152,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("m", labels=("part",))
         with pytest.raises(MetricError):
-            reg.counter("m", labels=("shard",))
+            reg.counter("m", labels=("node",))
 
     def test_invalid_name_rejected(self):
         with pytest.raises(MetricError):
@@ -175,18 +175,13 @@ class TestEpochMetrics:
             "level": 2, "rolling_f1": 0.9, "rolling_are": 0.1,
             "wall_ms": 12.0, "decode_ms": 4.0,
         }
-        instruments.observe(
-            record,
-            decode_success={"hh": True, "hl": False},
-            merge_bytes=2048,
-        )
+        instruments.observe(record, decode_success={"hh": True, "hl": False})
         assert reg.get("repro_epochs_total").value == 1
         assert reg.get("repro_packets_total").value == 5000
         assert reg.get("repro_lost_packets_total").value == 40
         assert reg.get("repro_decode_success_total").labels(part="hh").value == 1
         assert reg.get("repro_decode_failure_total").labels(part="hl").value == 1
         assert reg.get("repro_level_epochs_total").labels(level=2).value == 1
-        assert reg.get("repro_shard_merge_bytes_total").value == 2048
         assert reg.get("repro_rolling_f1").value == pytest.approx(0.9)
         assert reg.get("repro_epoch_wall_ms").count == 1
 
@@ -250,30 +245,10 @@ class TestStageTracer:
             pass
         assert len(tracer.drain(upto_epoch=0)) == 1
 
-    def test_ingest_reroots_under_current_stack(self):
-        tracer = StageTracer()
-        tracer.set_epoch(2)
-        shipped = [
-            {"name": "classify_encode", "path": ["classify_encode"],
-             "shard": 1, "start_ns": 0, "duration_ns": 500},
-            {"name": "loss_apply", "path": ["classify_encode", "loss_apply"],
-             "shard": 1, "start_ns": 0, "duration_ns": 100},
-        ]
-        with tracer.span("epoch"):
-            with tracer.span("simulate"):
-                tracer.ingest(shipped)
-        spans = {"/".join(s.path): s for s in tracer.drain()}
-        assert "epoch/simulate/classify_encode" in spans
-        assert "epoch/simulate/classify_encode/loss_apply" in spans
-        ingested = spans["epoch/simulate/classify_encode"]
-        assert ingested.shard == 1
-        assert ingested.epoch == 2
-
     def test_null_tracer_is_inert(self):
         with NULL_TRACER.span("anything"):
             pass
         NULL_TRACER.set_epoch(5)
-        NULL_TRACER.ingest([{"name": "x", "duration_ns": 1}])
         assert NULL_TRACER.drain() == []
         assert NULL_TRACER.enabled is False
 
@@ -449,7 +424,7 @@ class TestReport:
 # --------------------------------------------------------------------------- #
 # identity contract: traced/metered runs are bit-identical to plain ones
 # --------------------------------------------------------------------------- #
-def _run(seed, shards=None, observed=False, epochs=3, tmp_path=None):
+def _run(seed, observed=False, epochs=3, tmp_path=None):
     source = SyntheticSource.steady(
         num_flows=120, epochs=epochs, victim_ratio=0.1, loss_rate=0.1, seed=seed
     )
@@ -466,7 +441,7 @@ def _run(seed, shards=None, observed=False, epochs=3, tmp_path=None):
         }
     engine = StreamingEngine(
         source, sinks=[sink], resources=RESOURCES, seed=seed,
-        pipelined=True, shards=shards, **kwargs,
+        pipelined=True, **kwargs,
     )
     engine.run()
     return sink.records
@@ -482,19 +457,6 @@ class TestIdentity:
         assert all("timing" in record for record in observed)
         assert all("timing" not in record for record in plain)
         assert all("timing" not in comparable(r) for r in observed)
-
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_sharded_traced_matches_serial_untraced(self, shards, tmp_path):
-        plain = _run(5)
-        observed = _run(5, shards=shards, observed=True, tmp_path=tmp_path)
-        assert comparable_records(observed) == comparable_records(plain)
-        spans = load_spans(str(tmp_path / "s5.jsonl"))
-        shard_spans = [s for s in spans if s.get("shard") is not None]
-        assert {s["shard"] for s in shard_spans} == set(range(shards))
-        assert any(
-            s["path"] == ["epoch", "simulate", "classify_encode"]
-            for s in shard_spans
-        )
 
     def test_timing_subdict_covers_pipeline_stages(self, tmp_path):
         records = _run(2, observed=True, tmp_path=tmp_path)
@@ -528,28 +490,25 @@ class TestIdentity:
         # written_at is the wall-clock annotation the comparison strips.
         assert "written_at" in plain["meta"]
 
-    def test_shard_span_histograms_merge_linearly(self, tmp_path):
-        """Histogram merge linearity over real shard-shipped span durations."""
-        _run(6, shards=4, observed=True, tmp_path=tmp_path)
-        spans = [
-            s for s in load_spans(str(tmp_path / "s6.jsonl"))
-            if s.get("shard") is not None
-        ]
+    def test_stage_span_histograms_merge_linearly(self, tmp_path):
+        """Histogram merge linearity over real per-stage span durations."""
+        _run(6, observed=True, tmp_path=tmp_path)
+        spans = load_spans(str(tmp_path / "s6.jsonl"))
         assert spans
         reg = MetricsRegistry()
         combined = reg.histogram("h_all")
-        per_shard = {
-            shard: reg.histogram(f"h_{shard}")
-            for shard in {s["shard"] for s in spans}
+        stages = sorted({s["name"] for s in spans})
+        per_stage = {
+            stage: reg.histogram(f"h_{index}")
+            for index, stage in enumerate(stages)
         }
         for span in spans:
             ms = span["duration_ns"] / 1e6
             combined.observe(ms)
-            per_shard[span["shard"]].observe(ms)
-        shards = sorted(per_shard)
-        merged = per_shard[shards[0]]
-        for shard in shards[1:]:
-            merged.merge(per_shard[shard]._unlabeled())
+            per_stage[span["name"]].observe(ms)
+        merged = per_stage[stages[0]]
+        for stage in stages[1:]:
+            merged.merge(per_stage[stage]._unlabeled())
         assert merged._unlabeled().bucket_counts == \
             combined._unlabeled().bucket_counts
         assert merged.count == combined.count
@@ -570,14 +529,6 @@ class TestEngineIntegration:
         assert reg.get("repro_flows_total").value == 200
         assert reg.get("repro_epoch_wall_ms").count == 2
         assert reg.get("repro_encoder_budget_bytes").value > 0
-
-    def test_sharded_engine_counts_merge_bytes(self):
-        reg = MetricsRegistry()
-        source = SyntheticSource.steady(
-            num_flows=100, epochs=2, victim_ratio=0.1, loss_rate=0.1, seed=1
-        )
-        make_engine(source, metrics=reg, shards=2).run()
-        assert reg.get("repro_shard_merge_bytes_total").value > 0
 
     def test_timing_fields_constant_is_shared(self):
         from repro.stream.engine import TIMING_FIELDS as engine_fields

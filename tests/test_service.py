@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import signal
 import struct
 import subprocess
@@ -65,7 +66,7 @@ FAULTS = (
 )
 
 
-def make_engine(seed, sinks=(), epochs=8, shards=None, events=FAULTS, flows=150):
+def make_engine(seed, sinks=(), epochs=8, events=FAULTS, flows=150):
     source = SyntheticSource.steady(
         num_flows=flows, epochs=epochs, victim_ratio=0.1, seed=seed
     )
@@ -77,7 +78,6 @@ def make_engine(seed, sinks=(), epochs=8, shards=None, events=FAULTS, flows=150)
         seed=seed,
         pipelined=True,
         rolling_window=4,
-        shards=shards,
     )
 
 
@@ -86,7 +86,7 @@ def make_engine(seed, sinks=(), epochs=8, shards=None, events=FAULTS, flows=150)
 # --------------------------------------------------------------------------- #
 def sample_state():
     return {
-        "meta": {"seed": 3, "shards": 0, "rolling_window": 8,
+        "meta": {"seed": 3, "rolling_window": 8,
                  "heavy_hitter_threshold": 100,
                  "schedule_fingerprint": "ab" * 8, "source_epochs": 12},
         "engine": {
@@ -404,10 +404,10 @@ class TestCrashSafeSinks:
 # service: resume bit-identity
 # --------------------------------------------------------------------------- #
 def run_service(seed, tmp_path, *, stop_at=None, resume=False, epochs=8,
-                shards=None, interval=2, tag=""):
+                interval=2, tag=""):
     sink = MemorySink()
     alert_sink = MemoryAlertSink()
-    engine = make_engine(seed, sinks=[sink], epochs=epochs, shards=shards)
+    engine = make_engine(seed, sinks=[sink], epochs=epochs)
     alerts = AlertEngine(
         [RollingF1Floor(0.9, warmup=1), DecodeFailureStreak(2)],
         sinks=[alert_sink],
@@ -434,6 +434,14 @@ def test_resume_is_bit_identical(seed, tmp_path):
     assert max(flow.flow_id for flow in trace.flows).bit_length() > 64
 
 
+#: The epoch-4 checkpoint of ``run_service(21, stop_at=4)`` as written by an
+#: older release that ran the data plane on 2 worker processes: its meta
+#: carries ``"shards": 2``, a key this release neither writes nor checks.
+LEGACY_CHECKPOINT = os.path.join(
+    os.path.dirname(__file__), "data", "legacy_meta_seed21_epoch4.rtck"
+)
+
+
 def test_resume_mid_fault_schedule_snapshot(tmp_path):
     # Epoch 4 sits inside the failure window (2..6) with the epoch-3 burst's
     # countdown still live; fast_forward must reconstruct both exactly.
@@ -441,14 +449,11 @@ def test_resume_mid_fault_schedule_snapshot(tmp_path):
     part, _, _ = run_service(21, tmp_path, stop_at=4)
     rest, _, _ = run_service(21, tmp_path, resume=True)
     assert [comparable(r) for r in part + rest] == [comparable(r) for r in full]
-
-
-def test_resume_bit_identical_under_sharding(tmp_path):
-    full, _, _ = run_service(31, tmp_path, tag="full")  # serial reference
-    part, _, engine = run_service(31, tmp_path, stop_at=4, shards=4)
-    assert engine.system.simulator.shard_pool is None  # released on close
-    rest, _, _ = run_service(31, tmp_path, resume=True, shards=4)
-    assert [comparable(r) for r in part + rest] == [comparable(r) for r in full]
+    # The same boundary, from the checkpoint the older release wrote.
+    shutil.copy(LEGACY_CHECKPOINT, tmp_path / "svclegacy.rtck")
+    assert read_checkpoint(LEGACY_CHECKPOINT)["meta"]["shards"] == 2
+    rest, _, _ = run_service(21, tmp_path, resume=True, tag="legacy")
+    assert [comparable(r) for r in rest] == [comparable(r) for r in full[4:]]
 
 
 def test_resume_final_system_state_matches(tmp_path):
@@ -513,13 +518,12 @@ class StopSink(EpochSink):
 
 
 class TestLifecycle:
-    def test_engine_close_releases_pool_and_sinks_on_sink_error(self):
+    def test_engine_close_closes_sinks_on_sink_error(self):
         failing, memory = FailingSink(2), MemorySink()
-        engine = make_engine(71, sinks=[failing, memory], epochs=6, shards=2)
+        engine = make_engine(71, sinks=[failing, memory], epochs=6)
         with pytest.raises(RuntimeError, match="exploded"):
             engine.run()
         assert failing.closed
-        assert engine.system.simulator.shard_pool is None
 
     def test_service_closes_sinks_on_interrupt(self, tmp_path):
         failing = FailingSink(3)
