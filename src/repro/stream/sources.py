@@ -91,6 +91,8 @@ class Phase:
             raise ValueError("a phase must last at least one epoch")
         if self.num_flows <= 0:
             raise ValueError("a phase needs a positive number of flows")
+        if not 0.0 <= self.victim_ratio <= 1.0:
+            raise ValueError("a phase's victim ratio must be in [0, 1]")
 
 
 @dataclass

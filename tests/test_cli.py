@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import comparable
 
 
 class TestParser:
@@ -14,20 +15,24 @@ class TestParser:
 
     def test_every_command_has_help(self):
         parser = build_parser()
-        for command in ("list", "fig4", "fig7", "fig8", "fig9", "fig11", "overheads", "demo"):
-            args = {
-                "list": [command],
-                "overheads": [command],
-            }.get(command, [command, "--seed", "1"])
+        for args in (
+            ["list"],
+            ["describe", "fig4"],
+            ["run", "fig4", "--seed", "1"],
+            ["stream", "--seed", "1"],
+            ["serve", "--seed", "1"],
+            ["trace", "convert", "a.jsonl", "b.rtbin"],
+            ["trace", "inspect", "a.rtbin"],
+            ["perf", "report", "spans.jsonl"],
+        ):
             parsed = parser.parse_args(args)
             assert callable(parsed.handler)
 
-    def test_fig4_custom_arguments(self):
-        parsed = build_parser().parse_args(
-            ["fig4", "--flows", "500", "--victims", "50", "100", "--trials", "1"]
-        )
-        assert parsed.flows == 500
-        assert parsed.victims == [50, 100]
+    def test_figure_aliases_are_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig4"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestExecution:
@@ -37,33 +42,31 @@ class TestExecution:
         assert "fig4" in out and "demo" in out
 
     def test_overheads_runs(self, capsys):
-        assert main(["overheads", "--epochs-ms", "50", "100"]) == 0
+        assert main([
+            "run", "overheads", "--set", "epochs_ms=50,100",
+            "--set", "include_live=false",
+        ]) == 0
         out = capsys.readouterr().out
-        assert "Collection bandwidth" in out
-
-    def test_fig4_runs_small(self, capsys):
-        assert main(["fig4", "--flows", "300", "--victims", "40", "--trials", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "fermat KB" in out
+        assert "[bandwidth]" in out and "[response_model]" in out
 
     def test_demo_runs_small(self, capsys):
         assert main([
-            "demo", "--flows", "150", "--epochs", "2", "--scale", "0.05",
-            "--victim-ratio", "0.05",
+            "run", "demo", "--set", "flows=150", "--set", "epochs=2",
+            "--scale", "0.05",
         ]) == 0
         out = capsys.readouterr().out
-        assert "epoch 0" in out and "epoch 1" in out
+        assert "=== demo:" in out
+        epochs = [line.split()[0] for line in out.splitlines() if line[:1].isdigit()]
+        assert epochs == ["0", "1"]
 
 
 class TestRegistryCommands:
     """The registry-facing surface: run / list / describe."""
 
-    def test_list_marks_registry_and_aliases(self, capsys):
+    def test_list_shows_registered_scenarios(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "repro.scenarios registry" in out
-        assert "legacy aliases" in out
-        # Registry-only scenarios appear even though they have no alias.
         for name in ("fig5", "fig6", "fig10", "workloads", "backend_speedup"):
             assert name in out
 
@@ -148,16 +151,6 @@ class TestRegistryCommands:
         assert out_path in captured.err
         assert json.loads(open(out_path).read())["scenario"] == "fig4"
 
-    def test_legacy_alias_csv_stdout_is_pure(self, capsys):
-        """--csv - must not interleave the human table into the CSV stream."""
-        assert main([
-            "fig4", "--flows", "150", "--victims", "20", "--trials", "1",
-            "--csv", "-",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "===" not in out
-        assert out.splitlines()[0].startswith("victims,")
-
     def test_json_stdout_streams_rows_per_point(self, capsys):
         """The JSON stream is one valid document whose rows arrive per point."""
         assert main([
@@ -193,13 +186,10 @@ class TestRegistryCommands:
         assert main(["run", "fig9", "--set", "schedule=150-0.05"]) == 2
         assert "':'-separated" in capsys.readouterr().err
 
-    def test_fig9_flows_without_ratios_fails(self, capsys):
-        assert main(["fig9", "--flows", "150", "300"]) == 2
-        assert "--flows and --ratios together" in capsys.readouterr().err
-
-    def test_fig9_unequal_flows_ratios_fails(self, capsys):
-        assert main(["fig9", "--flows", "150", "300", "--ratios", "0.05"]) == 2
-        assert "--ratios values" in capsys.readouterr().err
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_run_rejects_jobs_below_one(self, capsys, jobs):
+        assert main(["run", "fig4", "--set", "flows=150", "--jobs", jobs]) == 2
+        assert "error: --jobs must be >= 1" in capsys.readouterr().err
 
 
 class TestStreamCommand:
@@ -272,6 +262,39 @@ class TestStreamCommand:
             "--fail-host", "99",
         ]) == 2
         assert "--fail-host" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fail_loss", ["-0.5", "1.5"])
+    def test_stream_rejects_out_of_range_fail_loss(self, capsys, fail_loss):
+        assert main([
+            "stream", "--phases", "50:0.0:1", "--fail-epoch", "0",
+            "--fail-loss", fail_loss,
+        ]) == 2
+        assert "--fail-loss must be in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["stream", "--rolling-window", "0"], "rolling_window"),
+        (["stream", "--scale", "0"], "scale must be positive"),
+        (["serve", "--checkpoint-interval", "-1"], "checkpoint_interval"),
+        (["serve", "--keep-checkpoints", "0"], "keep_checkpoints"),
+        (["stream", "--phases", "100:1.5:1"], "victim ratio must be in [0, 1]"),
+        (["serve", "--state-diffs", "no_such_feed.jsonl"], "no_such_feed.jsonl"),
+    ])
+    def test_bad_engine_flags_are_usage_errors(self, capsys, argv, message):
+        assert main(argv + ["--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_stream_and_serve_write_identical_records(self, capsys, tmp_path):
+        """Both commands build their engine from the same flags the same way."""
+        flags = ["--seed", "4", "--phases", "300:0.1:3,600:0.2:2", "--quiet"]
+        stream_path = tmp_path / "stream.jsonl"
+        serve_path = tmp_path / "serve.jsonl"
+        assert main(["stream", *flags, "--jsonl", str(stream_path)]) == 0
+        assert main(["serve", *flags, "--jsonl", str(serve_path)]) == 0
+        load = lambda path: [comparable(json.loads(line)) for line in open(path)]
+        stream_records = load(stream_path)
+        assert len(stream_records) == 5
+        assert stream_records == load(serve_path)
 
 
 class TestTraceCommand:
