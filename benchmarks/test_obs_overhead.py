@@ -23,7 +23,6 @@ import conftest
 
 from repro.dataplane.config import SwitchResources
 from repro.obs import (
-    JsonlSpanSink,
     MetricsRegistry,
     StageTracer,
     aggregate_spans,
@@ -32,7 +31,7 @@ from repro.obs import (
     report_dict,
 )
 from repro.scenarios.results import RunResult
-from repro.stream import MemorySink, Phase, StreamingEngine, SyntheticSource
+from repro.stream import JsonlSink, MemorySink, Phase, StreamingEngine, SyntheticSource
 
 #: Machine-readable perf artifact, written next to the repository root.
 ARTIFACT_PATH = os.path.join(
@@ -67,7 +66,7 @@ def _run(source, spans_path=None):
         kwargs = {
             "tracer": StageTracer(),
             "metrics": MetricsRegistry(),
-            "span_sink": JsonlSpanSink(spans_path),
+            "span_sink": JsonlSink(spans_path),
         }
     engine = StreamingEngine(
         source,

@@ -352,10 +352,10 @@ class FaultInjector:
     def sink_hook(self, target: str = "records") -> Callable[[Dict[str, Any]], None]:
         """A ``fault_hook`` for the file sinks: raises ``OSError`` when armed.
 
-        Installed on :class:`~repro.stream.sinks.JsonlSink` /
-        :class:`~repro.stream.sinks.CsvSink` (and the alert sinks' inner
-        JSONL sink); the hook runs before the write, so a retried write
-        lands the record exactly once.
+        Installed on the file sinks (:class:`~repro.stream.sinks.JsonlSink`
+        / :class:`~repro.stream.sinks.CsvSink`) of records and alerts alike;
+        the hook runs before the write, so a retried write lands the record
+        exactly once.
         """
 
         def hook(record: Dict[str, Any]) -> None:
@@ -377,9 +377,8 @@ class FaultInjector:
         hook = self.sink_hook(target)
         installed = 0
         for sink in sinks:
-            inner = getattr(sink, "_sink", sink)  # JsonlAlertSink wraps a JsonlSink
-            if hasattr(inner, "fault_hook"):
-                inner.fault_hook = hook
+            if hasattr(sink, "fault_hook"):
+                sink.fault_hook = hook
                 installed += 1
         return installed
 

@@ -350,12 +350,13 @@ def _build_observability(args: argparse.Namespace):
     ``PATH`` (input for ``repro.cli perf report``); ``--metrics PATH`` (and
     ``serve --metrics-port``) attach a metrics registry to the engine.
     """
-    from .obs import JsonlSpanSink, MetricsRegistry, StageTracer
+    from .obs import MetricsRegistry, StageTracer
+    from .stream import JsonlSink
 
     tracer = span_sink = None
     if args.spans_out:
         tracer = StageTracer()
-        span_sink = JsonlSpanSink(args.spans_out)
+        span_sink = JsonlSink(args.spans_out)
     metrics = None
     if args.metrics_out or getattr(args, "metrics_port", None) is not None:
         metrics = MetricsRegistry()
@@ -520,10 +521,10 @@ def _build_alert_engine(args: argparse.Namespace):
         ConsoleAlertSink,
         DecodeFailureStreak,
         EpochLatencySlo,
-        JsonlAlertSink,
         RollingAreCeiling,
         RollingF1Floor,
     )
+    from .stream import JsonlSink
 
     rules = []
     if args.alert_f1_floor is not None:
@@ -538,7 +539,7 @@ def _build_alert_engine(args: argparse.Namespace):
         return None
     sinks = []
     if args.alerts_out:
-        sinks.append(JsonlAlertSink(args.alerts_out))
+        sinks.append(JsonlSink(args.alerts_out))
     if not args.quiet:
         sinks.append(ConsoleAlertSink())
     return AlertEngine(rules, sinks=sinks)
@@ -813,12 +814,15 @@ def build_parser() -> argparse.ArgumentParser:
     engine_flags.add_argument("--rolling-window", type=int, dest="rolling_window",
                               default=8, help="epochs in the rolling F1/ARE window")
     engine_flags.add_argument("--jsonl", dest="jsonl_out", metavar="PATH",
-                              help="append one JSON record per epoch ('-' for stdout)")
+                              help="write one JSON record per epoch ('-' for stdout; "
+                                   "a resumed `serve` continues the file)")
     engine_flags.add_argument("--csv", dest="csv_out", metavar="PATH",
-                              help="append one CSV row per epoch ('-' for stdout)")
+                              help="write one CSV row per epoch ('-' for stdout; "
+                                   "a resumed `serve` continues the file)")
     engine_flags.add_argument("--spans", dest="spans_out", metavar="PATH",
-                              help="trace pipeline stages and append span JSONL here "
-                                   "(input for `perf report`)")
+                              help="trace pipeline stages and write span JSONL here "
+                                   "(input for `perf report`; a resumed `serve` "
+                                   "continues the file)")
     engine_flags.add_argument("--metrics", dest="metrics_out", metavar="PATH",
                               help="write a final metrics snapshot (JSONL) here")
     engine_flags.add_argument("--quiet", action="store_true",
@@ -873,7 +877,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--inspect", action="store_true",
                      help="print a summary of --checkpoint and exit")
     sub.add_argument("--alerts", dest="alerts_out", metavar="PATH",
-                     help="append one JSON object per alert transition")
+                     help="write one JSON object per alert transition "
+                          "(a resumed run continues the file)")
     sub.add_argument("--alert-f1-floor", type=float, dest="alert_f1_floor",
                      default=None, metavar="F1",
                      help="fire while the rolling F1 sits below this floor")

@@ -34,7 +34,6 @@ from .metrics import (
 )
 from .tracing import (
     NULL_TRACER,
-    JsonlSpanSink,
     NullTracer,
     Span,
     StageTracer,
@@ -63,7 +62,6 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "NULL_TRACER",
-    "JsonlSpanSink",
     "NullTracer",
     "Span",
     "StageTracer",

@@ -1,7 +1,8 @@
 """Aggregate span JSONL into a self/cumulative stage-breakdown profile.
 
 ``repro.cli perf report`` drives this module: load the spans a traced run
-wrote (:class:`~repro.obs.tracing.JsonlSpanSink`), group them by hierarchical
+wrote (one ``Span.to_dict()`` per line, through a
+:class:`~repro.stream.sinks.JsonlSink`), group them by hierarchical
 stage path, and render a profiler-style tree table where every stage shows
 
 * **count** — how many spans hit the stage,

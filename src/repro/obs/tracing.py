@@ -24,7 +24,6 @@ only an attribute lookup and a dead context manager when tracing is off.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -195,31 +194,3 @@ def stage_millis(spans: Iterable[Span]) -> Dict[str, float]:
         totals[key] = totals.get(key, 0.0) + span.duration_ns
     return {key: value / 1e6 for key, value in totals.items()}
 
-
-class JsonlSpanSink:
-    """Append completed spans to a JSONL file, one span per line.
-
-    Lazy-open like the record sinks; spans are timing data and therefore not
-    part of the checkpoint/rewind protocol — a resumed service simply appends
-    its re-run epochs' spans.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._file = None
-
-    def write(self, spans: Iterable[Span]) -> None:
-        spans = list(spans)
-        if not spans:
-            return
-        if self._file is None:
-            self._file = open(self.path, "a", encoding="utf-8")
-        for span in spans:
-            json.dump(span.to_dict(), self._file, separators=(",", ":"))
-            self._file.write("\n")
-        self._file.flush()
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None

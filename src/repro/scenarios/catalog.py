@@ -1056,7 +1056,6 @@ def serve_churn_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     from ..dataplane.config import SwitchResources
     from ..service import (
         AlertEngine,
-        MemoryAlertSink,
         RollingF1Floor,
         TelemetryService,
         compile_state_diffs,
@@ -1101,13 +1100,13 @@ def serve_churn_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         checkpoint = os.path.join(tmp, "serve_churn.rtck")
         # The uninterrupted reference run (no checkpointing).
         reference_sink = MemorySink()
-        engine, alerts = build(reference_sink, MemoryAlertSink())
+        engine, alerts = build(reference_sink, MemorySink())
         TelemetryService(engine, alert_engine=alerts).run(
             max_epochs=params["epochs"]
         )
         # The service run: stop at the interrupt point, then resume.
         part_sink, resume_sink = MemorySink(), MemorySink()
-        part_alerts, resume_alerts = MemoryAlertSink(), MemoryAlertSink()
+        part_alerts, resume_alerts = MemorySink(), MemorySink()
         engine, alerts = build(part_sink, part_alerts)
         TelemetryService(
             engine,
@@ -1127,7 +1126,7 @@ def serve_churn_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     identical = [comparable(r) for r in combined] == [
         comparable(r) for r in reference_sink.records
     ]
-    transitions = [a.to_dict() for a in part_alerts.alerts + resume_alerts.alerts]
+    transitions = part_alerts.records + resume_alerts.records
     output = _stream_output(combined, summary)
     output["extras"]["resume_identical"] = identical
     output["extras"]["interrupt_epoch"] = params["interrupt_epoch"]

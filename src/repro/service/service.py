@@ -30,8 +30,8 @@ from typing import Any, Dict, List, Optional
 from ..chaos import FaultInjector, RetryPolicy, chaos_key, corrupt_checkpoint
 from ..obs.exposition import MetricsServer
 from ..stream.engine import StreamingEngine, StreamSummary
-from ..stream.sinks import ResilientSink
-from .alerts import AlertEngine, ResilientAlertSink
+from ..stream.sinks import EpochSink, FileSink, ResilientSink
+from .alerts import AlertEngine
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 
 
@@ -87,12 +87,12 @@ class TelemetryService:
         # Harden the durable outputs: every file-backed record/alert sink is
         # wrapped in a retry/backoff shell (OSError only; checkpoint hooks
         # delegate, so resume rewinds see straight through the wrapper).
-        engine.sinks = [self._wrap_sink(sink) for sink in engine.sinks]
+        engine.sinks = [self._wrap_sink(sink, "records") for sink in engine.sinks]
         if alert_engine is not None:
             if self.chaos is not None:
                 self.chaos.install_sinks(alert_engine.sinks, target="alerts")
             alert_engine.sinks = [
-                self._wrap_alert_sink(sink) for sink in alert_engine.sinks
+                self._wrap_sink(sink, "alerts") for sink in alert_engine.sinks
             ]
         #: The live exposition endpoint while :meth:`run` is active (tests
         #: read its bound port when ``metrics_port=0``).
@@ -110,20 +110,12 @@ class TelemetryService:
         self._epochs_since_checkpoint = 0
         self._checkpointed_epoch: Optional[int] = None
 
-    def _wrap_sink(self, sink: Any) -> Any:
-        inner = getattr(sink, "_sink", sink)
-        if isinstance(sink, ResilientSink) or not hasattr(inner, "fault_hook"):
+    def _wrap_sink(self, sink: EpochSink, site: str) -> EpochSink:
+        if not isinstance(sink, FileSink):
             return sink
         return ResilientSink(
             sink, policy=self.retry, seed=self.engine.seed,
-            site="records", monitor=self.monitor,
-        )
-
-    def _wrap_alert_sink(self, sink: Any) -> Any:
-        if isinstance(sink, ResilientAlertSink) or not hasattr(sink, "_sink"):
-            return sink
-        return ResilientAlertSink(
-            sink, policy=self.retry, seed=self.engine.seed, monitor=self.monitor
+            site=site, monitor=self.monitor,
         )
 
     # ------------------------------------------------------------------ #
@@ -159,6 +151,11 @@ class TelemetryService:
                 if self.alert_engine is not None and state.get("alerts"):
                     self.alert_engine.restore_state(state["alerts"])
                 self._rewind_sinks(state.get("sinks", []))
+                spans = self.engine.span_sink
+                if isinstance(spans, FileSink) and os.path.exists(spans.path):
+                    # Spans are timing data outside the checkpoint: the
+                    # resumed run appends its spans to the earlier ones.
+                    spans.truncate_to(os.path.getsize(spans.path))
                 self._decode_fail_streak = int(
                     (state.get("service") or {}).get("decode_fail_streak", 0)
                 )
@@ -346,44 +343,39 @@ class TelemetryService:
                     f"{expected[key]!r} here"
                 )
 
-    def _sink_states(self) -> List[Dict[str, Any]]:
+    def _all_sinks(self) -> List[EpochSink]:
         sinks = list(self.engine.sinks)
         if self.alert_engine is not None:
             sinks.extend(self.alert_engine.sinks)
-        states = []
-        for sink in sinks:
-            state = sink.sink_state()
-            if state is not None:
-                states.append(state)
-        return states
+        return sinks
+
+    def _sink_states(self) -> List[Dict[str, Any]]:
+        states = [sink.sink_state() for sink in self._all_sinks()]
+        return [state for state in states if state is not None]
 
     def _rewind_sinks(self, states: List[Dict[str, Any]]) -> None:
-        """Append-reopen every file sink at its checkpointed durable offset."""
-        sinks = list(self.engine.sinks)
-        if self.alert_engine is not None:
-            sinks.extend(self.alert_engine.sinks)
-        by_key = {}
-        for sink in sinks:
+        """Append-reopen every file sink at its checkpointed durable offset.
+
+        Stored states are matched by path alone, so a checkpoint that tagged
+        its alert file ``kind: "alerts_jsonl"`` (or recorded CSV
+        ``fieldnames``) still rewinds.
+        """
+        by_path = {}
+        for sink in self._all_sinks():
             state = sink.sink_state()
             if state is not None:
-                by_key[(state["kind"], state["path"])] = sink
+                by_path[state["path"]] = sink
         for stored in states:
-            sink = by_key.get((stored["kind"], stored["path"]))
-            if sink is None:
-                continue
-            if stored.get("fieldnames") is not None:
-                sink.truncate_to(stored["offset"], fieldnames=stored["fieldnames"])
-            else:
+            sink = by_path.get(stored["path"])
+            if sink is not None:
                 sink.truncate_to(stored["offset"])
 
     def write_checkpoint(self) -> None:
         """fsync the sinks, then atomically snapshot the full service state."""
         if not self.checkpoint_path:
             raise ValueError("this service has no checkpoint_path")
-        for sink in self.engine.sinks:
+        for sink in self._all_sinks():
             sink.sync()
-        if self.alert_engine is not None:
-            self.alert_engine.sync()
         loop = self.engine.loop_state()
         meta = self._spec_meta()
         # The one legitimate wall-clock timestamp: a manifest annotation for

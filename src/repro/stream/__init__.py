@@ -23,9 +23,9 @@ from .sinks import (
     ConsoleSink,
     CsvSink,
     EpochSink,
+    FileSink,
     JsonlSink,
     MemorySink,
-    MultiSink,
     ResilientSink,
 )
 from .sources import (
@@ -51,11 +51,11 @@ __all__ = [
     "FlowBurstEvent",
     "NetworkConditions",
     "EpochSink",
+    "FileSink",
     "JsonlSink",
     "CsvSink",
     "MemorySink",
     "ConsoleSink",
-    "MultiSink",
     "ResilientSink",
     "TraceSource",
     "SyntheticSource",

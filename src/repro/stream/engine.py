@@ -128,7 +128,7 @@ class StreamingEngine:
         heavy_hitter_threshold: int = 500,
         tracer: Optional[StageTracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        span_sink: Optional[Any] = None,
+        span_sink: Optional[EpochSink] = None,
         chaos: Optional[FaultInjector] = None,
     ) -> None:
         if rolling_window < 1:
@@ -160,6 +160,7 @@ class StreamingEngine:
         self.conditions = NetworkConditions(self.system.simulator.topology, seed=seed)
         # Observability (repro.obs): all three are optional and purely
         # observational — a traced/metered run is bit-identical to a bare one.
+        # The span sink receives each drained span's ``to_dict()``.
         self.tracer = tracer
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
@@ -351,7 +352,8 @@ class StreamingEngine:
                 spans = self.tracer.drain(upto_epoch=epoch)
                 record["timing"] = stage_millis(spans)
                 if self.span_sink is not None:
-                    self.span_sink.write(spans)
+                    for span in spans:
+                        self.span_sink.write(span.to_dict())
             if self._instruments is not None:
                 snapshot = result.report.snapshot
                 self._instruments.observe(
@@ -440,6 +442,7 @@ class StreamingEngine:
         are_window: deque,
         wall_ms: float,
     ) -> Dict[str, Any]:
+        """One epoch's record; its keys open :data:`RECORD_FIELDS`."""
         division = result.memory_division()
         decoded = result.decoded_flow_counts()
         snapshot = result.report.snapshot
@@ -474,3 +477,18 @@ class StreamingEngine:
             "wall_ms": wall_ms,
             "decode_ms": result.report.decode_ms,
         }
+
+
+#: Every field an epoch record can carry, in CSV column order: the fields
+#: :meth:`StreamingEngine._record` builds, the traced run's ``timing``, and
+#: the annotations :class:`~repro.service.TelemetryService` adds (``alerts``
+#: with an alert engine, ``degraded``/``degraded_streak`` only while decodes
+#: keep failing).
+RECORD_FIELDS = (
+    "epoch", "num_flows", "num_victims", "packets", "lost_packets", "level",
+    "mem_hh", "mem_hl", "mem_ll", "decoded_hh", "decoded_hl", "decoded_ll",
+    "threshold_high", "threshold_low", "sample_rate",
+    "loss_precision", "loss_recall", "loss_f1", "loss_are",
+    "rolling_f1", "rolling_are", "decode_failures", "wall_ms", "decode_ms",
+    "timing", "alerts", "degraded", "degraded_streak",
+)

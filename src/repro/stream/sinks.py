@@ -1,11 +1,12 @@
-"""Per-epoch report sinks: stream results out as they are produced.
+"""Sinks: stream records, alert transitions, and spans out as they are produced.
 
-A sink receives one flat record dict per epoch (see
-:meth:`repro.stream.engine.StreamingEngine` for the fields) and must never
-buffer the run: file sinks write and flush each record immediately, so a
-long-lived stream's output is tail-able and the engine's memory stays
-O(epoch).  :class:`MemorySink` is the deliberate exception, used by tests,
-scenarios, and examples that want the records in process.
+A sink receives one flat dict per item — an epoch record (see
+:data:`repro.stream.engine.RECORD_FIELDS` for the fields), an alert
+transition, or a span — and must never buffer the run: file sinks write and
+flush each item immediately, so a long-lived stream's output is tail-able
+and the engine's memory stays O(epoch).  :class:`MemorySink` is the
+deliberate exception, used by tests, scenarios, and examples that want the
+records in process.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ import json
 import os
 import sys
 import time
-from typing import Any, Callable, Dict, IO, List, Optional, Sequence
+from typing import Any, Callable, Dict, IO, List, Optional
 
 
 class EpochSink:
-    """Base sink: one :meth:`write` per epoch, then one :meth:`close`."""
+    """The one sink protocol: one :meth:`write` per item, then one :meth:`close`.
+
+    Epoch records, alert transitions (:class:`repro.service.AlertEngine`) and
+    trace spans (``StreamingEngine(span_sink=...)``) all flow through it.
+    """
 
     def write(self, record: Dict[str, Any]) -> None:
         raise NotImplementedError
@@ -35,14 +40,18 @@ class EpochSink:
         """Restorable position, or ``None`` when the sink cannot resume."""
         return None
 
+    def truncate_to(self, offset: int) -> None:
+        """Resume at a position :meth:`sink_state` reported."""
+        raise NotImplementedError(f"{type(self).__name__} cannot resume")
 
-class _FileSink(EpochSink):
-    """Shared machinery of the file-backed record sinks.
+
+class FileSink(EpochSink):
+    """Shared machinery of the file-backed sinks.
 
     The file opens lazily on first write, so a resume can call
     :meth:`truncate_to` *before* anything touches the file — constructing
     the sink never clobbers the records a previous (interrupted) run
-    already made durable.
+    already made durable.  A fresh run's first write truncates the file.
     """
 
     kind = "file"
@@ -125,8 +134,8 @@ class _FileSink(EpochSink):
             self._handle.close()
 
 
-class JsonlSink(_FileSink):
-    """One JSON object per line per epoch, flushed as written."""
+class JsonlSink(FileSink):
+    """One JSON object per line (record, alert or span), flushed as written."""
 
     kind = "jsonl"
 
@@ -138,15 +147,22 @@ class JsonlSink(_FileSink):
         handle.flush()
 
 
-class CsvSink(_FileSink):
-    """CSV rows per epoch; the header comes from the first record's keys."""
+class CsvSink(FileSink):
+    """CSV rows per epoch under a header of every field a record can carry.
+
+    The header is :data:`repro.stream.engine.RECORD_FIELDS`, so a field the
+    first record lacks (the service's ``degraded`` annotation) still gets
+    its column.  A resumed sink reads the header back from the file.
+    """
 
     kind = "csv"
 
     def __init__(self, path: str) -> None:
+        from .engine import RECORD_FIELDS  # the engine module imports this one
+
         super().__init__(path)
         self._writer: Optional[csv.DictWriter] = None
-        self._fieldnames: Optional[List[str]] = None
+        self._fieldnames = list(RECORD_FIELDS)
         self._write_header = True
 
     def write(self, record: Dict[str, Any]) -> None:
@@ -154,7 +170,6 @@ class CsvSink(_FileSink):
             self.fault_hook(record)
         handle = self._ensure_open()
         if self._writer is None:
-            self._fieldnames = self._fieldnames or list(record)
             self._writer = csv.DictWriter(
                 handle, fieldnames=self._fieldnames, restval="", extrasaction="ignore"
             )
@@ -163,20 +178,15 @@ class CsvSink(_FileSink):
         self._writer.writerow(record)
         handle.flush()
 
-    def truncate_to(self, offset: int, fieldnames: Optional[Sequence[str]] = None) -> None:
+    def truncate_to(self, offset: int) -> None:
         super().truncate_to(offset)
-        if fieldnames is not None:
-            self._fieldnames = list(fieldnames)
         if offset > 0:
-            # The header survived the truncation; only rows follow.
+            # The header survived the truncation; only rows follow, under
+            # the columns the file already declares.
+            with open(self.path, newline="") as handle:
+                self._fieldnames = next(csv.reader(handle))
             self._write_header = False
         self._writer = None
-
-    def sink_state(self) -> Optional[Dict[str, Any]]:
-        state = super().sink_state()
-        if state is not None:
-            state["fieldnames"] = self._fieldnames
-        return state
 
 
 class MemorySink(EpochSink):
@@ -215,8 +225,11 @@ class ResilientSink(EpochSink):
     with sleeps jittered from the deterministic chaos substream
     (:meth:`repro.chaos.RetryPolicy.backoff_delay` keyed on the record's
     epoch); with ``fail_open=True`` an exhausted write is dropped with a
-    counted warning instead of killing the service.  All checkpoint hooks
-    (sync/tell/truncate_to/sink_state) delegate to the wrapped sink, so a
+    counted warning instead of killing the service.  ``site`` keys the
+    backoff substream and names the sink in warnings (``"records"``,
+    ``"alerts"``); every recovery counts
+    ``repro_recoveries_total{site="sink"}``.  The checkpoint hooks
+    (sync/sink_state/truncate_to) delegate to the wrapped sink, so a
     resilient sink is checkpoint-transparent.
     """
 
@@ -239,19 +252,6 @@ class ResilientSink(EpochSink):
         self._warn = warn if warn is not None else (
             lambda message: print(message, file=sys.stderr)
         )
-
-    # install_sinks() reaches through wrappers via ``_sink``.
-    @property
-    def _sink(self) -> EpochSink:
-        return self.inner
-
-    @property
-    def kind(self) -> str:
-        return getattr(self.inner, "kind", "file")
-
-    @property
-    def path(self) -> Optional[str]:
-        return getattr(self.inner, "path", None)
 
     def write(self, record: Dict[str, Any]) -> None:
         epoch = int(record.get("epoch", 0) or 0)
@@ -290,28 +290,5 @@ class ResilientSink(EpochSink):
     def sink_state(self) -> Optional[Dict[str, Any]]:
         return self.inner.sink_state()
 
-    def tell(self) -> Optional[int]:
-        tell = getattr(self.inner, "tell", None)
-        return tell() if tell is not None else None
-
-    def truncate_to(self, offset: int, *args: Any, **kwargs: Any) -> None:
-        self.inner.truncate_to(offset, *args, **kwargs)
-
-
-class MultiSink(EpochSink):
-    """Fan one record out to several sinks."""
-
-    def __init__(self, sinks: Sequence[EpochSink]) -> None:
-        self.sinks = list(sinks)
-
-    def write(self, record: Dict[str, Any]) -> None:
-        for sink in self.sinks:
-            sink.write(record)
-
-    def sync(self) -> None:
-        for sink in self.sinks:
-            sink.sync()
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
+    def truncate_to(self, offset: int) -> None:
+        self.inner.truncate_to(offset)

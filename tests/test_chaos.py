@@ -32,8 +32,10 @@ from repro.chaos import (
 from repro.dataplane.config import SwitchResources
 from repro.obs import MetricsRegistry, prometheus_text
 from repro.service import (
+    AlertEngine,
     CheckpointError,
     NetworkStateError,
+    RollingF1Floor,
     StateDiff,
     TelemetryService,
     read_checkpoint,
@@ -306,13 +308,28 @@ class TestResilientSink:
         inner = JsonlSink(str(tmp_path / "r.jsonl"))
         sink = ResilientSink(inner)
         sink.write({"epoch": 0, "f1": 1.0})
+        sink.write({"epoch": 1, "f1": 0.5})
         sink.sync()
-        assert sink.kind == inner.kind
-        assert sink.path == inner.path
         assert sink.sink_state() == inner.sink_state()
-        assert sink.tell() == inner.tell()
-        assert sink._sink is inner  # install_sinks reaches the hook through this
+        sink.truncate_to(len(json.dumps({"epoch": 0, "f1": 1.0})) + 1)
+        assert sink.sink_state() == inner.sink_state()
         sink.close()
+        assert jsonl_records(str(tmp_path / "r.jsonl")) == [{"epoch": 0, "f1": 1.0}]
+
+    def test_alerts_site_keys_the_backoff(self, monkeypatch):
+        # An alert transition retries on the "alerts" substream, keyed on its
+        # epoch: the delays alert sinks have always slept.
+        slept = []
+        monkeypatch.setattr("repro.stream.sinks.time.sleep", slept.append)
+        policy = RetryPolicy(retries=3, backoff_base=0.01)
+        monitor = ChaosMonitor()
+        inner = FlakySink(failures=2)
+        sink = ResilientSink(inner, policy=policy, seed=7, site="alerts", monitor=monitor)
+        sink.write({"epoch": 5, "rule": "rolling_f1_floor", "status": "firing"})
+        assert slept == [policy.backoff_delay(7, "alerts", 5, attempt) for attempt in (0, 1)]
+        assert slept != [policy.backoff_delay(7, "records", 5, attempt) for attempt in (0, 1)]
+        assert inner.records[0]["status"] == "firing"
+        assert monitor.recoveries == {"sink": 1}
 
 
 # --------------------------------------------------------------------------- #
@@ -557,6 +574,25 @@ class TestServiceChaos:
         assert chaos.monitor.sink_retries == 1
         assert chaos.monitor.recoveries == {"sink": 1}
         assert jsonl_records(out) == jsonl_records(ref)
+
+    def test_alert_sink_fault_is_retried_through_service(self, tmp_path):
+        def run(path, chaos=None):
+            alerts = AlertEngine([RollingF1Floor(1.01)], sinks=[JsonlSink(path)])
+            service = TelemetryService(
+                make_engine(36, sinks=[MemorySink()], epochs=3, chaos=chaos),
+                alert_engine=alerts, chaos=chaos, retry=fast_retry(),
+            )
+            service.run()
+            return service
+
+        ref, out = str(tmp_path / "ref.jsonl"), str(tmp_path / "alerts.jsonl")
+        run(ref)
+        chaos = injector({"faults": [{"kind": "sink_flush_error", "target": "alerts"}]})
+        service = run(out, chaos)
+        assert isinstance(service.alert_engine.sinks[0], ResilientSink)
+        assert chaos.monitor.faults_injected == {"sink_flush_error": 1}
+        assert chaos.monitor.recoveries == {"sink": 1}
+        assert jsonl_records(out) == jsonl_records(ref) != []
 
     def test_serve_chaos_scenario_verdict(self):
         from repro.scenarios import get_scenario

@@ -14,7 +14,6 @@ from repro.obs import (
     Counter,
     EpochMetrics,
     Histogram,
-    JsonlSpanSink,
     MetricError,
     MetricsRegistry,
     MetricsServer,
@@ -32,7 +31,7 @@ from repro.obs import (
     stage_millis,
     write_snapshot,
 )
-from repro.stream import MemorySink, StreamingEngine, SyntheticSource
+from repro.stream import JsonlSink, MemorySink, StreamingEngine, SyntheticSource
 
 RESOURCES = SwitchResources.scaled(0.05)
 
@@ -262,7 +261,7 @@ class TestStageTracer:
         assert millis["epoch"] >= 0.0
 
 
-class TestJsonlSpanSink:
+class TestSpanSink:
     def test_round_trips_through_load_spans(self, tmp_path):
         path = str(tmp_path / "spans.jsonl")
         tracer = StageTracer()
@@ -270,8 +269,9 @@ class TestJsonlSpanSink:
         with tracer.span("epoch"):
             with tracer.span("simulate"):
                 pass
-        sink = JsonlSpanSink(path)
-        sink.write(tracer.drain())
+        sink = JsonlSink(path)
+        for span in tracer.drain():
+            sink.write(span.to_dict())
         sink.close()
         spans = load_spans(path)
         assert ["/".join(s["path"]) for s in spans] == ["epoch/simulate", "epoch"]
@@ -279,10 +279,31 @@ class TestJsonlSpanSink:
 
     def test_empty_write_creates_no_file(self, tmp_path):
         path = tmp_path / "spans.jsonl"
-        sink = JsonlSpanSink(str(path))
-        sink.write([])
-        sink.close()
+        JsonlSink(str(path)).close()
         assert not path.exists()
+
+    @staticmethod
+    def _epoch_spans(path):
+        return [s for s in load_spans(path) if s["path"] == ["epoch"]]
+
+    def test_fresh_run_truncates_a_stale_span_file(self, capsys, tmp_path):
+        path = str(tmp_path / "spans.jsonl")
+        args = ["stream", "--quiet", "--phases", "150:0.05:2", "--spans", path]
+        assert main(args) == 0
+        first = load_spans(path)
+        assert main(args) == 0
+        capsys.readouterr()
+        assert len(load_spans(path)) == len(first)
+        assert [s["epoch"] for s in self._epoch_spans(path)] == [0, 1]
+
+    def test_resumed_serve_appends_spans(self, capsys, tmp_path):
+        path = str(tmp_path / "spans.jsonl")
+        args = ["serve", "--quiet", "--phases", "150:0.05:4", "--spans", path,
+                "--checkpoint", str(tmp_path / "svc.rtck")]
+        assert main(args + ["--epochs", "2"]) == 0
+        assert main(args + ["--epochs", "4", "--resume"]) == 0
+        capsys.readouterr()
+        assert [s["epoch"] for s in self._epoch_spans(path)] == [0, 1, 2, 3]
 
 
 # --------------------------------------------------------------------------- #
@@ -435,7 +456,7 @@ def _run(seed, observed=False, epochs=3, tmp_path=None):
             "tracer": StageTracer(),
             "metrics": MetricsRegistry(),
             "span_sink": (
-                JsonlSpanSink(str(tmp_path / f"s{seed}.jsonl"))
+                JsonlSink(str(tmp_path / f"s{seed}.jsonl"))
                 if tmp_path is not None else None
             ),
         }

@@ -1,5 +1,6 @@
 """Tests for repro.service: checkpoints, alerts, state diffs, the service."""
 
+import csv
 import json
 import os
 import shutil
@@ -14,12 +15,10 @@ from repro.dataplane.config import SwitchResources
 from repro.service import (
     Alert,
     AlertEngine,
-    CallbackAlertSink,
     CheckpointError,
+    ConsoleAlertSink,
     DecodeFailureStreak,
     EpochLatencySlo,
-    JsonlAlertSink,
-    MemoryAlertSink,
     NetworkStateError,
     RollingAreCeiling,
     RollingF1Floor,
@@ -47,6 +46,9 @@ from repro.stream import (
     SyntheticSource,
     comparable,
 )
+from repro.cli import main
+from repro.obs import TIMING_FIELDS
+from repro.stream.engine import RECORD_FIELDS
 from repro.stream.events import (
     LinkFailureEvent as Failure,
     LinkRecoveryEvent as Recovery,
@@ -275,7 +277,7 @@ def record_for(epoch, f1=1.0, are=0.0, decode_failures=0, wall_ms=1.0):
 
 class TestAlertEngine:
     def test_transitions_only(self):
-        sink = MemoryAlertSink()
+        sink = MemorySink()
         engine = AlertEngine([RollingF1Floor(0.9)], sinks=[sink])
         assert engine.observe(record_for(0, f1=0.95)) == []
         fired = engine.observe(record_for(1, f1=0.5))
@@ -283,7 +285,7 @@ class TestAlertEngine:
         assert engine.observe(record_for(2, f1=0.5)) == []  # still breached
         cleared = engine.observe(record_for(3, f1=0.95))
         assert [a.tag for a in cleared] == ["rolling_f1_floor:cleared"]
-        assert [a.status for a in sink.alerts] == ["firing", "cleared"]
+        assert [a["status"] for a in sink.records] == ["firing", "cleared"]
         assert engine.firing() == []
 
     def test_warmup_suppresses_early_epochs(self):
@@ -327,25 +329,27 @@ class TestAlertEngine:
         fired = resumed.observe(record_for(2, f1=0.1, decode_failures=1))
         assert [a.tag for a in fired] == ["decode_failure_streak:firing"]
 
-    def test_callback_and_jsonl_sinks(self, tmp_path):
-        seen = []
+    def test_jsonl_and_memory_sinks(self, tmp_path):
         path = str(tmp_path / "alerts.jsonl")
-        jsonl = JsonlAlertSink(path)
-        engine = AlertEngine(
-            [RollingF1Floor(0.9)], sinks=[CallbackAlertSink(seen.append), jsonl]
-        )
-        engine.observe(record_for(0, f1=0.1))
+        memory = MemorySink()
+        engine = AlertEngine([RollingF1Floor(0.9)], sinks=[memory, JsonlSink(path)])
+        fired = engine.observe(record_for(0, f1=0.1))
         engine.close()
-        assert [a.tag for a in seen] == ["rolling_f1_floor:firing"]
-        lines = [json.loads(l) for l in open(path)]
-        assert lines == [seen[0].to_dict()]
+        assert memory.records == [fired[0].to_dict()]
+        assert [json.loads(l) for l in open(path)] == memory.records
+
+    def test_console_sink_formats_the_transition(self, capsys):
+        engine = AlertEngine([RollingF1Floor(0.9)], sinks=[ConsoleAlertSink()])
+        engine.observe(record_for(3, f1=0.1))
+        err = capsys.readouterr().err
+        assert err.startswith("[ALERT] epoch    3  rolling_f1_floor: value 0.1")
 
 
 # --------------------------------------------------------------------------- #
 # crash-safe sinks
 # --------------------------------------------------------------------------- #
 RECORDS = [
-    {"epoch": epoch, "flows": 10 * epoch, "f1": 1.0 - 0.1 * epoch}
+    {"epoch": epoch, "num_flows": 10 * epoch, "loss_f1": 1.0 - 0.1 * epoch}
     for epoch in range(4)
 ]
 
@@ -373,16 +377,48 @@ class TestCrashSafeSinks:
         for record in RECORDS[:2]:
             sink.write(record)
         sink.sync()
-        offset, fields = sink.tell(), sink.sink_state()["fieldnames"]
+        offset = sink.tell()
         sink.close()
         resumed = CsvSink(path)
-        resumed.truncate_to(offset, fieldnames=fields)
+        resumed.truncate_to(offset)
         for record in RECORDS[2:]:
             resumed.write(record)
         resumed.close()
         lines = open(path).read().splitlines()
         assert len(lines) == 1 + len(RECORDS)  # exactly one header
-        assert lines[0] == "epoch,flows,f1"
+        assert lines[0] == ",".join(RECORD_FIELDS)
+        rows = list(csv.DictReader(open(path)))
+        assert [row["num_flows"] for row in rows] == ["0", "10", "20", "30"]
+
+    def test_csv_resume_keeps_the_header_in_the_file(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("epoch,num_flows\r\n0,0\r\n")
+        resumed = CsvSink(str(path))
+        resumed.truncate_to(path.stat().st_size)
+        resumed.write(RECORDS[1])
+        resumed.close()
+        assert path.read_text().splitlines() == ["epoch,num_flows", "0,0", "1,10"]
+
+    def test_csv_row_keeps_every_jsonl_field(self, tmp_path):
+        # 600 flows at 30% victims fail a decode in epochs 0 and 1, so the
+        # service marks epoch 1 degraded; the first record carries no
+        # ``degraded`` key, yet its column must exist.
+        jsonl, csv_path = str(tmp_path / "r.jsonl"), str(tmp_path / "r.csv")
+        source = SyntheticSource.steady(num_flows=600, epochs=3, victim_ratio=0.3, seed=5)
+        engine = StreamingEngine(
+            source, sinks=[JsonlSink(jsonl), CsvSink(csv_path)],
+            resources=RESOURCES, seed=5, pipelined=False, rolling_window=4,
+        )
+        alerts = AlertEngine([DecodeFailureStreak(2)])
+        TelemetryService(engine, alert_engine=alerts, degraded_after=2).run()
+        records = [json.loads(line) for line in open(jsonl)]
+        rows = list(csv.DictReader(open(csv_path)))
+        assert "degraded" not in records[0] and records[1]["degraded"] is True
+        assert len(rows) == len(records) == 3
+        for record, row in zip(records, rows):
+            assert {key: str(value) for key, value in record.items()} == {
+                key: value for key, value in row.items() if value != ""
+            }
 
     def test_truncate_missing_file(self, tmp_path):
         sink = JsonlSink(str(tmp_path / "never.jsonl"))
@@ -396,7 +432,7 @@ class TestCrashSafeSinks:
         sink.write(RECORDS[0])
         sink.close()
         size = os.path.getsize(path)
-        with pytest.raises(ValueError, match="shorter"):
+        with pytest.raises(ValueError, match="truncated behind"):
             JsonlSink(path).truncate_to(size + 50)
 
 
@@ -406,7 +442,7 @@ class TestCrashSafeSinks:
 def run_service(seed, tmp_path, *, stop_at=None, resume=False, epochs=8,
                 interval=2, tag=""):
     sink = MemorySink()
-    alert_sink = MemoryAlertSink()
+    alert_sink = MemorySink()
     engine = make_engine(seed, sinks=[sink], epochs=epochs)
     alerts = AlertEngine(
         [RollingF1Floor(0.9, warmup=1), DecodeFailureStreak(2)],
@@ -419,7 +455,7 @@ def run_service(seed, tmp_path, *, stop_at=None, resume=False, epochs=8,
         checkpoint_interval=interval,
     )
     service.run(max_epochs=stop_at, resume=resume)
-    return sink.records, alert_sink.alerts, engine
+    return sink.records, alert_sink.records, engine
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -454,6 +490,51 @@ def test_resume_mid_fault_schedule_snapshot(tmp_path):
     assert read_checkpoint(LEGACY_CHECKPOINT)["meta"]["shards"] == 2
     rest, _, _ = run_service(21, tmp_path, resume=True, tag="legacy")
     assert [comparable(r) for r in rest] == [comparable(r) for r in full[4:]]
+
+
+#: A ``serve`` run an older release interrupted after epoch 5: its newest
+#: checkpoint (``svc.rtck``, next epoch 4) predates the last two records.
+#: The checkpoint's ``sinks`` list holds a ``jsonl`` state, a ``csv`` state
+#: with ``fieldnames``, and an ``alerts_jsonl`` state.  The CSV header is
+#: that release's first record's keys.
+LEGACY_SINKS = os.path.join(os.path.dirname(__file__), "data", "legacy_sinks_seed9_epoch4")
+LEGACY_SERVE_ARGS = [
+    "serve", "--seed", "9", "--phases", "200:0.1:2,800:0.3:3,200:0.1:3",
+    "--rolling-window", "2", "--checkpoint", "svc.rtck", "--checkpoint-interval", "2",
+    "--jsonl", "records.jsonl", "--csv", "records.csv", "--alerts", "alerts.jsonl",
+    "--alert-f1-floor", "0.95", "--alert-warmup", "1", "--quiet", "--epochs", "8",
+]
+
+
+def test_resume_from_legacy_sink_states(tmp_path, monkeypatch, capsys):
+    resumed, reference = tmp_path / "resumed", tmp_path / "reference"
+    shutil.copytree(LEGACY_SINKS, resumed)
+    reference.mkdir()
+    kinds = [state["kind"] for state in read_checkpoint(str(resumed / "svc.rtck"))["sinks"]]
+    assert kinds == ["jsonl", "csv", "alerts_jsonl"]
+    monkeypatch.chdir(resumed)
+    assert main(LEGACY_SERVE_ARGS + ["--resume"]) == 0
+    monkeypatch.chdir(reference)
+    assert main(LEGACY_SERVE_ARGS) == 0
+    capsys.readouterr()
+
+    def jsonl(directory, name):
+        return [json.loads(line) for line in open(directory / name)]
+
+    assert [comparable(r) for r in jsonl(resumed, "records.jsonl")] == [
+        comparable(r) for r in jsonl(reference, "records.jsonl")
+    ]
+    alerts = jsonl(resumed, "alerts.jsonl")
+    assert [a["status"] for a in alerts] == ["firing", "cleared"]
+    assert alerts == jsonl(reference, "alerts.jsonl")
+    # The legacy CSV keeps its own header; every column it declares matches.
+    legacy = list(csv.DictReader(open(resumed / "records.csv")))
+    fresh = list(csv.DictReader(open(reference / "records.csv")))
+    columns = [c for c in legacy[0] if c not in TIMING_FIELDS]
+    assert len(legacy) == len(fresh) == 8
+    assert [[row[c] for c in columns] for row in legacy] == [
+        [row[c] for c in columns] for row in fresh
+    ]
 
 
 def test_resume_final_system_state_matches(tmp_path):

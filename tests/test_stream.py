@@ -19,7 +19,6 @@ from repro.stream import (
     LossRateShiftEvent,
     MemorySink,
     MergeSource,
-    MultiSink,
     NetworkConditions,
     Phase,
     StreamingEngine,
@@ -28,6 +27,8 @@ from repro.stream import (
     comparable,
     write_trace_file,
 )
+from repro.obs import StageTracer
+from repro.stream.engine import RECORD_FIELDS
 
 RESOURCES = SwitchResources.scaled(0.05)
 
@@ -256,13 +257,6 @@ class TestSinks:
         rows = list(csv.DictReader(open(path)))
         assert len(rows) == 2 and rows[1]["epoch"] == "1"
 
-    def test_multi_sink_fans_out(self, tmp_path):
-        memory_a, memory_b = MemorySink(), MemorySink()
-        sink = MultiSink([memory_a, memory_b])
-        sink.write(self.RECORD)
-        sink.close()
-        assert memory_a.records == memory_b.records == [self.RECORD]
-
     def test_console_sink_writes_one_line(self, capsys):
         ConsoleSink().write(self.RECORD)
         out = capsys.readouterr().out
@@ -301,6 +295,12 @@ class TestStreamingEngine:
             engine.run()
             records[pipelined] = [comparable(r) for r in sink.records]
         assert records[True] == records[False]
+
+    def test_record_fields_open_with_the_engine_record(self):
+        sink = MemorySink()
+        make_engine(self.source(epochs=2), sinks=[sink], tracer=StageTracer()).run()
+        keys = tuple(sink.records[0])
+        assert keys == RECORD_FIELDS[:len(keys)] and keys[-1] == "timing"
 
     def test_events_change_the_stream(self):
         with_sink, without_sink = MemorySink(), MemorySink()
